@@ -1,9 +1,11 @@
 """Discrete-event loop used by every simulated component.
 
 The design is deliberately minimal: a binary heap of ``(time, seq,
-callback)`` entries.  ``seq`` is a monotonically increasing tiebreaker
+event)`` tuples.  ``seq`` is a monotonically increasing tiebreaker
 so that events scheduled at the same instant run in FIFO order, which
-keeps runs fully deterministic.
+keeps runs fully deterministic; being unique, it also means ``heapq``
+orders entries by comparing two numbers in C and never reaches the
+:class:`Event`.
 
 Cancellation is lazy — a cancelled entry stays in the heap until it
 reaches the top — but the loop keeps a live-event counter so
@@ -24,7 +26,7 @@ Example
 """
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import EventBudgetExceeded, SimulationError
 
@@ -64,9 +66,6 @@ class Event:
         if self._loop is not None:
             self._loop._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -82,7 +81,7 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._running = False
@@ -101,7 +100,7 @@ class EventLoop:
             )
         self._seq += 1
         event = Event(when, self._seq, callback, self)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (when, self._seq, event))
         return event
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> Event:
@@ -131,7 +130,7 @@ class EventLoop:
         if self._cancelled * 2 > len(heap) and len(heap) >= _COMPACT_MIN_HEAP:
             # In-place rebuild so any outstanding reference to the heap
             # list (e.g. a local binding inside run()) stays valid.
-            heap[:] = [event for event in heap if not event.cancelled]
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(heap)
             self._cancelled = 0
 
@@ -142,12 +141,12 @@ class EventLoop:
         ``limit`` scheduled callbacks, so an exhausted event budget
         points at the code that keeps rescheduling itself.
         """
-        live = [event for event in self._heap if not event.cancelled]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
         lines = [
             f"loop: t={self._now:.6f}s, {len(live)} live events "
             f"({len(self._heap)} heaped, {self._cancelled} cancelled)"
         ]
-        for event in heapq.nsmallest(limit, live):
+        for _, _, event in heapq.nsmallest(limit, live):
             callback = event.callback
             name = getattr(callback, "__qualname__", None) or repr(callback)
             lines.append(f"  next: t={event.time:.6f}s seq={event.seq} -> {name}")
@@ -182,12 +181,11 @@ class EventLoop:
         pop = heapq.heappop
         try:
             while heap:
-                event = heap[0]
+                event_time, _, event = heap[0]
                 if event.cancelled:
                     pop(heap)
                     self._cancelled -= 1
                     continue
-                event_time = event.time
                 if until is not None and event_time > until:
                     break
                 if max_sim_time is not None and event_time > max_sim_time:

@@ -17,6 +17,7 @@ class IntervalSet:
     def __init__(self) -> None:
         self._starts: List[int] = []
         self._ends: List[int] = []
+        self._total = 0
 
     def __len__(self) -> int:
         return len(self._starts)
@@ -26,8 +27,8 @@ class IntervalSet:
 
     @property
     def total_bytes(self) -> int:
-        """Sum of interval lengths."""
-        return sum(end - start for start, end in self)
+        """Sum of interval lengths (kept incrementally)."""
+        return self._total
 
     def add(self, start: int, end: int) -> int:
         """Insert ``[start, end)``, merging overlaps.
@@ -37,16 +38,20 @@ class IntervalSet:
         """
         if end <= start:
             return 0
-        before = self.total_bytes
+        starts, ends = self._starts, self._ends
         # Find all intervals overlapping or adjacent to [start, end).
-        lo = bisect.bisect_left(self._ends, start)
-        hi = bisect.bisect_right(self._starts, end)
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
+        merged = 0
         if lo < hi:
-            start = min(start, self._starts[lo])
-            end = max(end, self._ends[hi - 1])
-        self._starts[lo:hi] = [start]
-        self._ends[lo:hi] = [end]
-        return self.total_bytes - before
+            merged = sum(ends[lo:hi]) - sum(starts[lo:hi])
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
+        added = end - start - merged
+        self._total += added
+        return added
 
     def contains_range(self, start: int, end: int) -> bool:
         """True if every unit of ``[start, end)`` is present."""
@@ -61,19 +66,25 @@ class IntervalSet:
         """Sub-ranges of ``[start, end)`` not present in the set."""
         gaps: List[Tuple[int, int]] = []
         cursor = start
-        for istart, iend in self:
-            if iend <= cursor:
-                continue
+        starts, ends = self._starts, self._ends
+        # From the first interval ending after ``start``.
+        for index in range(bisect.bisect_right(ends, start), len(starts)):
+            istart = starts[index]
             if istart >= end:
                 break
             if istart > cursor:
                 gaps.append((cursor, min(istart, end)))
-            cursor = max(cursor, iend)
+            cursor = ends[index]
             if cursor >= end:
                 break
         if cursor < end:
             gaps.append((cursor, end))
         return gaps
+
+    def last_above(self, origin: int, count: int) -> Tuple[Tuple[int, int], ...]:
+        """The last ``count`` intervals that end after ``origin``."""
+        first = max(bisect.bisect_right(self._ends, origin), len(self._ends) - count)
+        return tuple(zip(self._starts[first:], self._ends[first:]))
 
     def contiguous_from(self, origin: int) -> int:
         """End of the contiguous run starting at ``origin`` (or ``origin``)."""

@@ -38,6 +38,12 @@ class PacketFlags(enum.Flag):
 
 _packet_ids = itertools.count(1)
 
+# Plain-int masks: testing ``flags._value_`` skips ``enum.Flag.__and__``,
+# which builds a new flag member on every test.
+_SYN = PacketFlags.SYN.value
+_ACK = PacketFlags.ACK.value
+_FIN = PacketFlags.FIN.value
+
 
 @dataclass
 class Packet:
@@ -93,15 +99,15 @@ class Packet:
 
     @property
     def is_syn(self) -> bool:
-        return bool(self.flags & PacketFlags.SYN)
+        return bool(self.flags._value_ & _SYN)
 
     @property
     def is_ack(self) -> bool:
-        return bool(self.flags & PacketFlags.ACK)
+        return bool(self.flags._value_ & _ACK)
 
     @property
     def is_fin(self) -> bool:
-        return bool(self.flags & PacketFlags.FIN)
+        return bool(self.flags._value_ & _FIN)
 
     @property
     def end_seq(self) -> int:

@@ -7,7 +7,7 @@ echo for clean RTT samples, and out-of-order ranges are reported as
 SACK blocks.
 """
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.events import EventLoop, Timer
 from repro.core.intervals import IntervalSet
@@ -63,10 +63,7 @@ class SubflowReceiver:
         return len(self._out_of_order)
 
     def _sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
-        blocks: List[Tuple[int, int]] = [
-            (start, end) for start, end in self._received if end > self.rcv_nxt
-        ]
-        return tuple(blocks[-MAX_SACK_BLOCKS:])
+        return self._received.last_above(self.rcv_nxt, MAX_SACK_BLOCKS)
 
     @property
     def advertised_window(self) -> int:

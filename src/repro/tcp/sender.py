@@ -8,12 +8,19 @@ RFC 6298 retransmission timer with exponential backoff.  RTT samples
 come from the receiver's timestamp echo (RFC 7323 style), so they stay
 clean even during recovery.  Window growth is delegated to a pluggable
 :class:`~repro.tcp.cc.base.CongestionControl`.
+
+The scoreboard is one seq-sorted record list with skip pointers over
+SACKed runs, a next-hole cursor and a send-time-ordered queue of
+retransmissions, so per-ACK work does not grow with the window
+(DESIGN.md §2b).
 """
 
+import bisect
 import math
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List
+from operator import attrgetter
+from typing import Callable, Deque, List, Tuple
 
 from repro.core.events import EventLoop, Timer
 from repro.core.packet import Packet, PacketFlags
@@ -31,9 +38,12 @@ class _SegmentRecord:
     length: int
     data_seq: int
     sent_at: float
-    retransmitted: bool = False
-    sacked: bool = False
-    rxt_epoch: int = -1
+    #: 0 while un-SACKed.  Once SACKed, a sequence number up to which
+    #: every record from this one on is known to be SACKed as well.
+    sacked_to: int = 0
+
+
+_SEQ = attrgetter("seq")
 
 
 @dataclass(slots=True)
@@ -52,8 +62,8 @@ class SubflowSender:
 
     __slots__ = (
         "loop", "config", "cc", "rtt", "_transmit", "flow_id", "subflow_id",
-        "snd_una", "snd_nxt", "_outstanding", "_pipe", "_dupacks",
-        "_in_recovery", "_recovery_point", "_recovery_epoch",
+        "snd_una", "snd_nxt", "_board", "_head", "_hole", "_rxt_queue",
+        "_pipe", "_dupacks", "_in_recovery", "_recovery_point",
         "_max_sacked_end", "_head_retries", "_dead", "peer_window_bytes",
         "stats", "_rto_timer", "on_data_acked", "on_window_open", "on_dead",
         "on_rto_event", "obs", "obs_path",
@@ -79,12 +89,19 @@ class SubflowSender:
 
         self.snd_una = 0
         self.snd_nxt = 0
-        self._outstanding: "OrderedDict[int, _SegmentRecord]" = OrderedDict()
+        #: Outstanding records are ``_board[_head:]``, sorted by seq.
+        self._board: List[_SegmentRecord] = []
+        self._head = 0
+        #: Next-hole cursor: every outstanding record below this
+        #: sequence number is SACKed or retransmitted in this epoch.
+        self._hole = 0
+        #: (sent_at, record) of this epoch's retransmissions, oldest
+        #: first; an entry is stale once its record is resent.
+        self._rxt_queue: Deque[Tuple[float, _SegmentRecord]] = deque()
         self._pipe = 0  # outstanding, un-SACKed segments
         self._dupacks = 0
         self._in_recovery = False
         self._recovery_point = 0
-        self._recovery_epoch = 0
         self._max_sacked_end = 0
         self._head_retries = 0
         self._dead = False
@@ -120,7 +137,7 @@ class SubflowSender:
     @property
     def done(self) -> bool:
         """True when every byte handed to this sender has been ACKed."""
-        return not self._outstanding and self.snd_una == self.snd_nxt
+        return self._head == len(self._board) and self.snd_una == self.snd_nxt
 
     @property
     def dead(self) -> bool:
@@ -150,7 +167,7 @@ class SubflowSender:
         record = _SegmentRecord(
             seq=self.snd_nxt, length=length, data_seq=data_seq, sent_at=self.loop.now
         )
-        self._outstanding[record.seq] = record
+        self._board.append(record)
         self._pipe += 1
         self.snd_nxt += length
         self._emit(record)
@@ -170,7 +187,6 @@ class SubflowSender:
             sent_at=self.loop.now,
         )
         record.sent_at = self.loop.now
-        record.retransmitted = record.retransmitted or retransmission
         self.stats.segments_sent += 1
         self.stats.bytes_sent += record.length
         if retransmission:
@@ -214,47 +230,64 @@ class SubflowSender:
         ack = packet.ack
         if ack > self.snd_una:
             self._on_new_ack(ack)
-        elif ack == self.snd_una and self._outstanding:
+        elif ack == self.snd_una and self._head < len(self._board):
             self._on_dup_ack()
         if self._in_recovery and sack_advanced:
             self._sack_retransmit()
 
+    def _skip_run(self, index: int) -> int:
+        """Index of the first record past the SACKed run at ``index``."""
+        board = self._board
+        return bisect.bisect_left(board, board[index].sacked_to, index + 1, key=_SEQ)
+
     def _apply_sack(self, packet: Packet) -> bool:
         if not packet.sack:
             return False
-        advanced = False
-        outstanding = self._outstanding
-        pipe = self._pipe
+        board = self._board
+        count = len(board)
+        newly_sacked = 0
         max_sacked = self._max_sacked_end
         for start, end in packet.sack:
             if end > max_sacked:
                 max_sacked = end
-            for seq, record in outstanding.items():
-                if record.sacked:
-                    continue
-                if seq >= start and seq + record.length <= end:
-                    record.sacked = True
-                    pipe -= 1
-                    advanced = True
-                elif seq >= end:
+            # SACK every un-SACKed record lying wholly inside the block.
+            first = index = bisect.bisect_left(board, start, self._head, key=_SEQ)
+            while index < count:
+                record = board[index]
+                if record.seq + record.length > end:
                     break
-        self._pipe = pipe
+                if record.sacked_to:
+                    index = self._skip_run(index)
+                else:
+                    record.sacked_to = record.seq + record.length
+                    newly_sacked += 1
+                    index += 1
+            if index > first:
+                # Everything walked is SACKed now: one skip covers it.
+                last = board[index - 1]
+                board[first].sacked_to = last.seq + last.length
+        self._pipe -= newly_sacked
         self._max_sacked_end = max_sacked
-        return advanced
+        return newly_sacked > 0
 
     def _on_new_ack(self, ack: int) -> None:
         acked_chunks: List[Chunk] = []
-        acked_segments = 0
-        outstanding = self._outstanding
-        while outstanding:
-            seq, record = next(iter(outstanding.items()))
-            if seq + record.length > ack:
+        board = self._board
+        count = len(board)
+        head = self._head
+        while head < count:
+            record = board[head]
+            if record.seq + record.length > ack:
                 break
-            outstanding.popitem(last=False)
-            if not record.sacked:
+            if not record.sacked_to:
                 self._pipe -= 1
             acked_chunks.append((record.data_seq, record.length))
-            acked_segments += 1
+            head += 1
+        if head * 2 > count:
+            # Amortised O(1) per record: at least half the list goes.
+            del board[:head]
+            head = 0
+        self._head = head
         self.snd_una = ack
         self._dupacks = 0
         self._head_retries = 0
@@ -272,16 +305,16 @@ class SubflowSender:
                 self._retransmit_head()
                 self._sack_retransmit()
         else:
-            self.cc.on_ack(float(acked_segments))
+            self.cc.on_ack(float(len(acked_chunks)))
             if self.obs is not None:
                 self._emit_cwnd("ack")
-            if self._outstanding and self._max_sacked_end > self.snd_una:
+            if self._head < len(board) and self._max_sacked_end > self.snd_una:
                 # Holes left behind by an RTO (we are no longer in fast
                 # recovery): keep repairing them, paced by the window.
                 self._retransmit_head()
                 self._sack_retransmit()
 
-        if self._outstanding:
+        if self._head < len(board):
             self._rto_timer.start(self.rtt.rto)
         else:
             self._rto_timer.stop()
@@ -306,9 +339,9 @@ class SubflowSender:
     def _enter_recovery(self) -> None:
         self._in_recovery = True
         self._recovery_point = self.snd_nxt
-        self._recovery_epoch += 1
+        self._new_epoch()
         # RFC 5681 FlightSize counts SACKed-but-unacked data too.
-        self.cc.on_enter_recovery(float(len(self._outstanding)))
+        self.cc.on_enter_recovery(float(len(self._board) - self._head))
         self.stats.fast_retransmits += 1
         if self.obs is not None:
             self.obs.emit(
@@ -320,28 +353,35 @@ class SubflowSender:
         self._retransmit_head()
         self._sack_retransmit()
 
-    def _retransmission_allowed(self, record: _SegmentRecord) -> bool:
-        """Whether ``record`` may be (re)retransmitted right now.
+    def _new_epoch(self) -> None:
+        """Start a recovery epoch: every un-SACKed record may be resent.
 
         A segment is retransmitted at most once per recovery epoch —
         unless the retransmission itself has evidently been lost (no
         ACK/SACK for a full RTO), which Linux detects similarly.
         """
-        if record.sacked:
-            return False
-        if record.rxt_epoch < self._recovery_epoch:
-            return True
-        return (self.loop.now - record.sent_at) > self.rtt.rto
+        self._hole = 0
+        self._rxt_queue.clear()
+
+    def _retransmit(self, record: _SegmentRecord) -> None:
+        self._emit(record, retransmission=True)
+        self._rxt_queue.append((record.sent_at, record))
 
     def _retransmit_head(self) -> None:
-        for record in self._outstanding.values():
-            if record.sacked:
-                continue
-            if self._retransmission_allowed(record):
-                record.rxt_epoch = self._recovery_epoch
-                self._emit(record, retransmission=True)
-                self._rto_timer.start(self.rtt.rto)
+        board = self._board
+        index = self._head
+        while index < len(board) and board[index].sacked_to:
+            index = self._skip_run(index)
+        if index == len(board):
             return
+        record = board[index]
+        if record.seq >= self._hole:
+            # Only SACKed records lie between the cursor and this one.
+            self._hole = record.seq + record.length
+        elif self.loop.now - record.sent_at <= self.rtt.rto:
+            return
+        self._retransmit(record)
+        self._rto_timer.start(self.rtt.rto)
 
     def _sack_retransmit(self) -> None:
         """Retransmit SACK-inferred holes, bounded by the window."""
@@ -351,23 +391,44 @@ class SubflowSender:
         lost_boundary = self._max_sacked_end - (
             self.config.dupack_threshold * self.config.mss_bytes
         )
-        for record in self._outstanding.values():
-            if budget <= 0:
+        now = self.loop.now
+        rto = self.rtt.rto
+        snd_una = self.snd_una
+        queue = self._rxt_queue
+        while queue:
+            sent_at, record = queue[0]
+            if (record.sent_at == sent_at and not record.sacked_to
+                    and record.seq + record.length > snd_una):
                 break
+            queue.popleft()  # resent since, SACKed or ACKed
+        board = self._board
+        count = len(board)
+        hole = self._hole
+        if queue and now - queue[0][0] > rto:
+            # A retransmission went unanswered for an RTO: walk the
+            # records below the cursor too, from the head.
+            index = self._head
+        else:
+            index = bisect.bisect_left(board, hole, self._head, key=_SEQ)
+        while budget > 0 and index < count:
+            record = board[index]
             if record.seq >= lost_boundary:
                 break
-            if not self._retransmission_allowed(record):
+            if record.sacked_to:
+                index = self._skip_run(index)
                 continue
-            record.rxt_epoch = self._recovery_epoch
-            self._emit(record, retransmission=True)
-            budget -= 1
+            if record.seq >= hole or now - record.sent_at > rto:
+                self._retransmit(record)
+                budget -= 1
+            index += 1
+        self._hole = max(hole, board[index].seq if index < count else self.snd_nxt)
         self._rto_timer.start(self.rtt.rto)
 
     # ------------------------------------------------------------------
     # Timeout handling
     # ------------------------------------------------------------------
     def _on_rto(self) -> None:
-        if self._dead or not self._outstanding:
+        if self._dead or self._head == len(self._board):
             return
         self.stats.timeouts += 1
         self._head_retries += 1
@@ -384,8 +445,8 @@ class SubflowSender:
             return
         self._in_recovery = False
         self._dupacks = 0
-        self._recovery_epoch += 1
-        self.cc.on_timeout(float(len(self._outstanding)))
+        self._new_epoch()
+        self.cc.on_timeout(float(len(self._board) - self._head))
         self.rtt.back_off()
         if self.obs is not None:
             self._emit_cwnd("rto")
@@ -413,8 +474,10 @@ class SubflowSender:
         # means the far receiver buffered them out of order; if they
         # never became in-order there, the connection never saw them.
         # The connection filters out anything already reassembled.
-        chunks = [(r.data_seq, r.length) for r in self._outstanding.values()]
-        self._outstanding.clear()
+        chunks = [(r.data_seq, r.length) for r in self._board[self._head:]]
+        self._board.clear()
+        self._head = 0
+        self._rxt_queue.clear()
         self._pipe = 0
         return chunks
 

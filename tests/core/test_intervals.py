@@ -132,3 +132,23 @@ class TestIntervalSetProperties:
         for start, end in gaps:
             gap_units |= set(range(start, end))
         assert gap_units == set(range(600)) - model
+
+    @given(range_lists())
+    @settings(max_examples=150)
+    def test_total_bytes_tracks_every_add(self, ranges):
+        intervals = IntervalSet()
+        for start, end in ranges:
+            before = intervals.total_bytes
+            added = intervals.add(start, end)
+            assert added == intervals.total_bytes - before
+            assert intervals.total_bytes == sum(e - s for s, e in intervals)
+
+    @given(range_lists(), st.integers(0, 600), st.integers(0, 4))
+    @settings(max_examples=100)
+    def test_last_above_is_the_tail_of_intervals_ending_after(self, ranges, origin,
+                                                               count):
+        intervals = IntervalSet()
+        for start, end in ranges:
+            intervals.add(start, end)
+        above = [(s, e) for s, e in intervals if e > origin]
+        assert list(intervals.last_above(origin, count)) == above[max(0, len(above) - count):]
