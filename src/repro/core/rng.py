@@ -36,6 +36,11 @@ class RngStreams:
     True
     >>> a is b
     False
+
+    :meth:`get` hands out one long-lived stream per name, so each call
+    continues where the last one stopped.  :meth:`fresh` restarts the
+    named sequence on every call; use it for streams that name one
+    draw (a run, a site's calibration) and must repeat when redrawn.
     """
 
     def __init__(self, master_seed: int = DEFAULT_SEED):
@@ -47,6 +52,18 @@ class RngStreams:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
+
+    def fresh(self, name: str) -> random.Random:
+        """A new stream for ``name``, from the start of its sequence.
+
+        Equal to what the first :meth:`get` of ``name`` returns, but
+        never cached: repeating a call repeats the draws.
+
+        >>> streams = RngStreams(42)
+        >>> streams.fresh("run.3").random() == streams.fresh("run.3").random()
+        True
+        """
+        return random.Random(derive_seed(self.master_seed, name))
 
     def fork(self, name: str) -> "RngStreams":
         """Return a new :class:`RngStreams` with a derived master seed.

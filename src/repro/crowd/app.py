@@ -84,7 +84,7 @@ class CellVsWifiApp:
     ) -> MeasurementRun:
         """Execute one measurement-collection run at ``site``."""
         conditions: RunConditions = self.world.draw_run(site, run_index)
-        rng = self._streams.get(f"collect.{site.name}.{run_index}")
+        rng = self._streams.fresh(f"collect.{site.name}.{run_index}")
         run = MeasurementRun(
             user_id=user_id,
             point=conditions.point,
@@ -141,7 +141,7 @@ class CellVsWifiApp:
         lets sinks consume runs one at a time — nothing here holds the
         site's worth of records.
         """
-        rng = self._streams.get(f"users.{site.name}")
+        rng = self._streams.fresh(f"users.{site.name}")
         usable = 0
         run_index = 0
         # A site is covered by a handful of distinct users.

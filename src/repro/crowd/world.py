@@ -17,7 +17,7 @@ downlink) throughput and ping RTTs:
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import DEFAULT_SEED, RngStreams
@@ -91,6 +91,10 @@ TABLE1_SITES: List[SiteProfile] = [
     SiteProfile("US (Santa Fe)", 35.9, -106.3, 4, 0.00),
 ]
 
+_TABLE1_BY_NAME: Dict[str, SiteProfile] = {
+    site.name: site for site in TABLE1_SITES
+}
+
 
 def _probit(p: float) -> float:
     """Inverse standard-normal CDF (Acklam's rational approximation)."""
@@ -156,24 +160,44 @@ class WorldModel:
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = seed
         self._streams = RngStreams(seed).fork("crowd.world")
-        self._site_params = {}
-        for site in TABLE1_SITES:
-            rng = self._streams.get(f"site.{site.name}")
-            wifi_median = rng.uniform(4.0, 14.0)
-            sigma_diff = math.sqrt(2.0) * self.SIGMA
-            gap = _probit(site.lte_win_fraction) * sigma_diff
-            lte_median = wifi_median * math.exp(gap)
-            # RTT: LTE lower ~20 % overall; per-site jitter around that.
-            rtt_target = min(max(0.24 + rng.uniform(-0.10, 0.10), 0.02), 0.6)
-            wifi_rtt_median = rng.uniform(25.0, 80.0)
-            rtt_gap = -_probit(rtt_target) * math.sqrt(2.0) * self.RTT_SIGMA
-            lte_rtt_median = wifi_rtt_median * math.exp(rtt_gap)
-            lte_median = self._calibrate_lte_median(
-                site, wifi_median, lte_median, wifi_rtt_median, lte_rtt_median
-            )
-            self._site_params[site.name] = (
-                wifi_median, lte_median, wifi_rtt_median, lte_rtt_median
-            )
+        self._site_params: Dict[str, Tuple[float, float, float, float]] = {}
+
+    def site_params(self, site_name: str) -> Tuple[float, float, float, float]:
+        """Table-1-calibrated (wifi_mbps, lte_mbps, wifi_rtt_ms, lte_rtt_ms).
+
+        A site is calibrated the first time it is asked for, from its
+        own named streams only, so the result does not depend on which
+        other sites were touched before it or in what order.
+        """
+        params = self._site_params.get(site_name)
+        if params is None:
+            try:
+                site = _TABLE1_BY_NAME[site_name]
+            except KeyError:
+                raise ConfigurationError(
+                    f"unknown Table-1 site: {site_name!r}"
+                ) from None
+            params = self._site_params[site_name] = self._calibrate_site(site)
+        return params
+
+    def _calibrate_site(
+        self, site: SiteProfile
+    ) -> Tuple[float, float, float, float]:
+        """Draw one site's medians, then fit its LTE median to Table 1."""
+        rng = self._streams.fresh(f"site.{site.name}")
+        wifi_median = rng.uniform(4.0, 14.0)
+        sigma_diff = math.sqrt(2.0) * self.SIGMA
+        gap = _probit(site.lte_win_fraction) * sigma_diff
+        lte_median = wifi_median * math.exp(gap)
+        # RTT: LTE lower ~20 % overall; per-site jitter around that.
+        rtt_target = min(max(0.24 + rng.uniform(-0.10, 0.10), 0.02), 0.6)
+        wifi_rtt_median = rng.uniform(25.0, 80.0)
+        rtt_gap = -_probit(rtt_target) * math.sqrt(2.0) * self.RTT_SIGMA
+        lte_rtt_median = wifi_rtt_median * math.exp(rtt_gap)
+        lte_median = self._calibrate_lte_median(
+            site, wifi_median, lte_median, wifi_rtt_median, lte_rtt_median
+        )
+        return wifi_median, lte_median, wifi_rtt_median, lte_rtt_median
 
     def _calibrate_lte_median(
         self,
@@ -192,30 +216,33 @@ class WorldModel:
         """
         from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
 
-        rng = self._streams.get(f"calibrate.{site.name}")
-        draws = []
+        rng = self._streams.fresh(f"calibrate.{site.name}")
+        exp = math.exp
+        # The WiFi side does not depend on the LTE candidate: measure it
+        # once per draw, not once per bisection step.
+        wifi_meas: List[float] = []
+        lte_draws: List[Tuple[float, float, float]] = []
         for _ in range(400):
-            draws.append((
-                math.exp(self.SIGMA * rng.gauss(0, 1)),
-                math.exp(self.SIGMA * rng.gauss(0, 1)),
-                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
-                math.exp(self.RTT_SIGMA * rng.gauss(0, 1)),
-                math.exp(self.CALIBRATION_NOISE * rng.gauss(0, 1)),
-                math.exp(self.CALIBRATION_NOISE * rng.gauss(0, 1)),
-            ))
+            w_mult = exp(self.SIGMA * rng.gauss(0, 1))
+            l_mult = exp(self.SIGMA * rng.gauss(0, 1))
+            w_rtt_m = exp(self.RTT_SIGMA * rng.gauss(0, 1))
+            l_rtt_m = exp(self.RTT_SIGMA * rng.gauss(0, 1))
+            w_noise = exp(self.CALIBRATION_NOISE * rng.gauss(0, 1))
+            l_noise = exp(self.CALIBRATION_NOISE * rng.gauss(0, 1))
+            wifi_meas.append(estimate_tcp_throughput_mbps(
+                wifi_median * w_mult, wifi_rtt_median * w_rtt_m
+            ) * w_noise)
+            lte_draws.append((l_mult, lte_rtt_median * l_rtt_m, l_noise))
 
         def win_fraction(candidate: float) -> float:
             wins = 0
-            for w_mult, l_mult, w_rtt_m, l_rtt_m, w_noise, l_noise in draws:
-                wifi_meas = estimate_tcp_throughput_mbps(
-                    wifi_median * w_mult, wifi_rtt_median * w_rtt_m
-                ) * w_noise
+            for wifi, (l_mult, lte_rtt, l_noise) in zip(wifi_meas, lte_draws):
                 lte_meas = estimate_tcp_throughput_mbps(
-                    candidate * l_mult, lte_rtt_median * l_rtt_m
+                    candidate * l_mult, lte_rtt
                 ) * l_noise
-                if lte_meas > wifi_meas:
+                if lte_meas > wifi:
                     wins += 1
-            return wins / len(draws)
+            return wins / len(lte_draws)
 
         lo, hi = lte_median * 0.2, lte_median * 8.0
         for _ in range(18):
@@ -228,8 +255,10 @@ class WorldModel:
 
     def draw_run(self, site: SiteProfile, run_index: int) -> RunConditions:
         """Ground truth for run ``run_index`` at ``site`` (deterministic)."""
-        rng = self._streams.get(f"run.{site.name}.{run_index}")
-        wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = self._site_params[site.name]
+        rng = self._streams.fresh(f"run.{site.name}.{run_index}")
+        wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = (
+            self.site_params(site.name)
+        )
         wifi_down = wifi_med * math.exp(self.SIGMA * rng.gauss(0, 1))
         lte_down = lte_med * math.exp(self.SIGMA * rng.gauss(0, 1))
         wifi_up = wifi_down * rng.uniform(0.35, 0.8)
@@ -349,9 +378,9 @@ class CrowdWorld(WorldModel):
         from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
 
         wifi_med, lte_med, wifi_rtt_med, lte_rtt_med = (
-            self._site_params[site.name]
+            self.site_params(site.name)
         )
-        rng = self._streams.get(f"crowd.calibrate.{site.name}")
+        rng = self._streams.fresh(f"crowd.calibrate.{site.name}")
         exp = math.exp
         sigma, rtt_sigma = self.SIGMA, self.RTT_SIGMA
         noise = self.CALIBRATION_NOISE
@@ -392,7 +421,7 @@ class CrowdWorld(WorldModel):
         if abs(win_fraction(0.0) - site.lte_win_fraction) <= (
             self.CROWD_CALIBRATION_TOL
         ):
-            return self._site_params[site.name]
+            return self.site_params(site.name)
         lo, hi = -4.0, 4.0
         for _ in range(24):
             mid = 0.5 * (lo + hi)

@@ -83,6 +83,12 @@ def canonical_spec(obj: Any) -> Any:
     cannot express raises ``TypeError`` — task kwargs must stay
     declarative and picklable anyway.
     """
+    # Leaves and dicts first: they are the bulk of a spec, and none of
+    # them has a ``canonical_dict`` hook or is a dataclass.
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(key): canonical_spec(value) for key, value in obj.items()}
     if not isinstance(obj, type) and hasattr(obj, "canonical_dict"):
         spec = canonical_spec(obj.canonical_dict())
         spec["__spec__"] = f"{type(obj).__module__}.{type(obj).__qualname__}"
@@ -94,12 +100,8 @@ def canonical_spec(obj: Any) -> Any:
         }
         spec["__dataclass__"] = f"{type(obj).__module__}.{type(obj).__qualname__}"
         return spec
-    if isinstance(obj, dict):
-        return {str(key): canonical_spec(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical_spec(item) for item in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
     raise TypeError(
         f"task kwargs must be JSON/dataclass-representable, got {type(obj)!r}"
     )

@@ -168,7 +168,7 @@ class PathSpec:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PathSpec":

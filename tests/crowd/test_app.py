@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crowd.app import CellVsWifiApp
+from repro.crowd.dataset import Dataset
 from repro.crowd.world import TABLE1_SITES
 
 
@@ -22,10 +23,13 @@ class TestCollection:
 
     def test_deterministic(self):
         site = TABLE1_SITES[6]
-        a = CellVsWifiApp(seed=9).collect_site(site)
+        app = CellVsWifiApp(seed=9)
+        a = app.collect_site(site)
         b = CellVsWifiApp(seed=9).collect_site(site)
         assert len(a) == len(b)
         assert a[0].wifi_down_mbps == b[0].wifi_down_mbps
+        # Collecting the site again on the same app repeats it exactly.
+        assert Dataset(app.collect_site(site)).to_csv() == Dataset(a).to_csv()
 
     def test_measured_throughput_below_link_rate(self):
         app = CellVsWifiApp(seed=1)

@@ -15,6 +15,8 @@ well below the asserted tolerances) and check:
   2104-run reference, not by sketch error (alpha = 0.5 %).
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.cdf import Cdf
@@ -25,6 +27,11 @@ from repro.crowd.world import TABLE1_SITES
 from repro.experiments.common import crowd_dataset
 
 USERS = 16_000
+
+#: sha256 of the all-site reference dataset's CSV at the default seed.
+REFERENCE_CSV_SHA256 = (
+    "802ba96159ca0f9e39b2b5c2715812bbd118b625f4c994959b9fe2aadfeba174"
+)
 
 #: Minimum analysis runs before a per-site fraction is worth checking.
 MIN_SITE_RUNS = 120
@@ -40,8 +47,13 @@ def sketch(crowd_world):
 
 
 @pytest.fixture(scope="module")
-def reference():
-    return crowd_dataset(TABLE1_SITES, DEFAULT_SEED).analysis_set()
+def dataset():
+    return crowd_dataset(TABLE1_SITES, DEFAULT_SEED)
+
+
+@pytest.fixture(scope="module")
+def reference(dataset):
+    return dataset.analysis_set()
 
 
 class TestTable1Recovery:
@@ -126,3 +138,9 @@ class TestFigureRecovery:
         assert sketch.lte_win_fraction_uplink() == pytest.approx(
             reference.lte_win_fraction_uplink(), abs=0.05
         )
+
+
+class TestReferenceIdentity:
+    def test_reference_csv_pinned(self, dataset):
+        digest = hashlib.sha256(dataset.to_csv().encode()).hexdigest()
+        assert digest == REFERENCE_CSV_SHA256

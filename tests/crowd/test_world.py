@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.crowd.tcpmodel import estimate_tcp_throughput_mbps
-from repro.crowd.world import TABLE1_SITES, WorldModel
+from repro.crowd.world import TABLE1_SITES, SiteProfile, WorldModel
 
 
 class TestTable1Data:
@@ -33,6 +34,23 @@ class TestWorldModel:
         b = world_b.draw_run(site, 3)
         assert a.wifi_down_mbps == b.wifi_down_mbps
         assert a.lte_rtt_ms == b.lte_rtt_ms
+        # Redrawing a run on the same world repeats it exactly.
+        assert world_a.draw_run(site, 3) == a
+
+    def test_sites_independent_of_touch_order(self):
+        forward = WorldModel(seed=11)
+        backward = WorldModel(seed=11)
+        backward_runs = {
+            site.name: backward.draw_run(site, 0)
+            for site in reversed(TABLE1_SITES)
+        }
+        for site in TABLE1_SITES:
+            assert forward.draw_run(site, 0) == backward_runs[site.name]
+
+    def test_unknown_site_rejected(self):
+        atlantis = SiteProfile("Atlantis", 0.0, 0.0, 4, 0.5)
+        with pytest.raises(ConfigurationError):
+            WorldModel(seed=11).draw_run(atlantis, 0)
 
     def test_runs_jitter_around_site(self):
         world = WorldModel(seed=11)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.faults import FaultEvent, FaultSpec
 from repro.linkem.conditions import make_conditions
 from repro.mptcp.connection import MptcpOptions
 from repro.parallel.cache import canonical_spec, spec_key
@@ -18,6 +19,7 @@ from repro.workload import (
     WorkloadSpec,
     config_overrides,
 )
+from repro.workload.session import RUN_SPEC_FN
 from repro.workload.spec import mptcp_option_overrides
 
 CONDITION = ConditionSpec.from_condition(make_conditions(seed=3)[0])
@@ -206,6 +208,30 @@ class TestCacheKeys:
             check=True,
         ).stdout.strip()
         assert output == key
+
+    def test_spec_key_pinned(self):
+        # A fixed flow-fidelity spec, literal down to its paths, so the
+        # key moves only if cache-key canonicalisation itself changes.
+        condition = ConditionSpec(
+            condition_id=7, city="Boston", description="golden",
+            paths=(
+                PathSpec("wifi", "wifi", 12.5, 4.25, 38.0, loss_rate=0.001),
+                PathSpec("lte", "lte", 9.75, 3.5, 61.0, queue_packets=120,
+                         temporal_sigma=0.2),
+            ),
+        )
+        spec = TransferSpec(
+            kind="mptcp", condition=condition, nbytes=4 * 1048576,
+            primary="wifi", cc="olia", seed=3, fidelity="flow",
+            config={"initial_cwnd_segments": 16},
+            faults=FaultSpec(events=(FaultEvent(
+                kind="rate_collapse", path="lte", at_s=0.5, duration_s=1.0,
+                factor=0.25,
+            ),)),
+        )
+        assert spec_key(RUN_SPEC_FN, {"spec": spec, "seed": 3}, "fp") == (
+            "fc6c3bc3e783eded9981039f501e24243cfbee129825b37d5c126a26ed415d69"
+        )
 
     def test_seed_changes_key(self):
         a = spec_key("f", {"spec": tcp_spec(seed=1)}, fingerprint="x")
